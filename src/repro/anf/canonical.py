@@ -18,10 +18,21 @@ the digest keeps the result-cache contract exact — a warm hit is always the
 result the cold run would have produced.
 
 Flat Reed-Muller specs can carry hundreds of thousands of monomials (the
-15-bit comparator is megabytes of terms), so the digest avoids per-bit
-string work: masks are remapped through precomputed per-chunk permutation
-tables (two dict lookups per term for specs up to 32 variables) and hashed
-incrementally as fixed-width little-endian bytes.
+15-bit comparator is megabytes of terms), so the digest runs over the packed
+``uint64`` term slabs the spec already lives in
+(:meth:`~repro.anf.expression.Anf.term_matrix`), viewed through numpy
+without a copy.  When the declaration-ordered support is exactly bits
+``0..n-1`` of the context — every builder spec — the rows are already the
+canonical masks in ascending order and are hashed as they lie.  Otherwise
+the support bits are gathered into dense positions with one vectorised
+shift-and-mask per distinct shift; the relabelling preserves bit order, so
+the rows stay sorted.  Either way each mask is hashed as its low
+``mask_bytes`` little-endian bytes.
+
+Specs with a term wider than 64 bits (only possible in contexts of more
+than 64 variables) do not pack; they take the reference path,
+:func:`_canonical_parts`, which remaps masks through precomputed per-chunk
+permutation tables and produces the same byte stream.
 
 This digest keys the on-disk result cache of the batch orchestrator
 (:mod:`repro.engine.batch`), together with the pipeline's ``config_key``.
@@ -31,7 +42,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .expression import Anf
 
@@ -124,12 +137,61 @@ def canonical_spec_payload(
     return payload
 
 
+def _packed_parts(
+    outputs: Mapping[str, Anf],
+) -> Optional[Tuple[List[str], Dict[str, np.ndarray]]]:
+    """:func:`_canonical_parts` over the packed slabs, as ``uint64`` arrays.
+
+    Returns ``None`` when some port has a term wider than 64 bits.
+    """
+    if not outputs:
+        return [], {}
+    ctx = next(iter(outputs.values())).ctx
+    support_mask = 0
+    slabs: Dict[str, np.ndarray] = {}
+    for port in sorted(outputs):
+        expr = outputs[port]
+        ctx.require_same(expr.ctx)
+        matrix = expr.term_matrix(build=True)
+        if matrix is None:
+            return None
+        support_mask |= expr.support_mask
+        slabs[port] = np.frombuffer(matrix.words, dtype=np.uint64)
+    names = list(ctx.names_of(support_mask))
+    if support_mask == (1 << len(names)) - 1:
+        # Identity relabelling: the sorted rows already are the canonical masks.
+        return names, slabs
+    # Gather the support bits into dense positions; bits sharing a shift
+    # move together.  Declaration order is index order, so the relabelling
+    # keeps every bit's rank: the highest bit in which two masks differ stays
+    # the highest, and the gathered rows are still ascending.
+    moves: Dict[int, int] = {}
+    for position, name in enumerate(names):
+        shift = ctx.index(name) - position
+        moves[shift] = moves.get(shift, 0) | (1 << position)
+    for port, rows in slabs.items():
+        canonical = np.zeros_like(rows)
+        for shift, mask in moves.items():
+            canonical |= (rows >> np.uint64(shift)) & np.uint64(mask)
+        slabs[port] = canonical
+    return names, slabs
+
+
+def _mask_bytes_of(rows, mask_bytes: int) -> bytes:
+    """Each mask as ``mask_bytes`` little-endian bytes, concatenated."""
+    if isinstance(rows, np.ndarray):
+        octets = rows.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        return octets[:, :mask_bytes].tobytes()
+    return b"".join(mask.to_bytes(mask_bytes, "little") for mask in rows)
+
+
 def canonical_spec_digest(
     outputs: Mapping[str, Anf],
     input_words: Sequence[Sequence[str]] | None = None,
 ) -> str:
     """SHA-256 hex digest of the canonical form of a specification."""
-    names, rendered = _canonical_parts(outputs)
+    parts = _packed_parts(outputs)
+    names, rendered = parts if parts is not None else _canonical_parts(outputs)
     digest = hashlib.sha256()
     header = {"support": names, "ports": sorted(rendered)}
     if input_words is not None:
@@ -138,7 +200,5 @@ def canonical_spec_digest(
     mask_bytes = (len(names) + 7) // 8 or 1
     for port in sorted(rendered):
         digest.update(port.encode("utf-8") + b"\0")
-        digest.update(
-            b"".join(mask.to_bytes(mask_bytes, "little") for mask in rendered[port])
-        )
+        digest.update(_mask_bytes_of(rendered[port], mask_bytes))
     return digest.hexdigest()

@@ -194,6 +194,18 @@ class Anf:
             return self._matrix.to_list()
         return list(terms)
 
+    def sorted_term_list(self) -> list[int]:
+        """The monomials in ascending order.
+
+        Read straight off the packed rows when a matrix is attached (they
+        are already sorted), so a matrix-only expression never materialises
+        its frozenset.
+        """
+        matrix = self.term_matrix()
+        if matrix is not None:
+            return matrix.to_list()
+        return sorted(self._terms)
+
     def term_key(self):
         """Canonical hashable key for term-set equality across representations.
 

@@ -165,6 +165,11 @@ class JobOutcome:
     ``cache_hit`` says whether the decomposition was loaded rather than
     computed; ``content_key``/``job_key`` are the cache coordinates it was
     stored (or found) under, when a cache was in play.
+
+    ``decomposition`` is the live :class:`Decomposition` the job just
+    computed, or ``None`` on a cache hit.  It is the object ``record`` was
+    serialised from, so a caller in the same process can use it instead of
+    rebuilding it from the record; it is not shipped across processes.
     """
 
     record: dict
@@ -172,6 +177,7 @@ class JobOutcome:
     cache_hit: bool
     content_key: Optional[str] = None
     job_key: Optional[str] = None
+    decomposition: Optional[Decomposition] = None
 
 
 def run_job(
@@ -208,17 +214,19 @@ def run_job(
     if cache is None:
         decomposition = pipeline.run(outputs, input_words=input_words, options=options)
         return JobOutcome(serialize_decomposition(decomposition),
-                          time.perf_counter() - start, False)
+                          time.perf_counter() - start, False,
+                          decomposition=decomposition)
     digest = canonical_spec_digest(outputs, input_words)
     content_key = cache_key(digest, pipeline.config_key())
     record = cache.load_raw(content_key)
-    hit = record is not None
+    decomposition = None
     if record is None:
         decomposition = pipeline.run(outputs, input_words=input_words, options=options)
         record = cache.store(content_key, decomposition)
     if job_key is not None:
         cache.store_index(job_key, content_key)
-    return JobOutcome(record, time.perf_counter() - start, hit, content_key, job_key)
+    return JobOutcome(record, time.perf_counter() - start, decomposition is None,
+                      content_key, job_key, decomposition)
 
 
 def _execute_job(payload: tuple) -> Tuple[str, dict, float, bool]:

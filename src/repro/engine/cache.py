@@ -71,7 +71,7 @@ ENGINE_CACHE_EPOCH = "epoch-1"
 # Decomposition (de)serialisation
 # ----------------------------------------------------------------------
 def _anf_to_list(expr: Anf) -> List[int]:
-    return sorted(expr.terms)
+    return expr.sorted_term_list()
 
 
 def _anf_from_list(ctx: Context, terms: List[int]) -> Anf:

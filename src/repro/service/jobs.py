@@ -342,7 +342,9 @@ def execute_job(payload: Mapping, cache_dir: Optional[str]) -> dict:
         options=spec.options,
         cache_dir=cache_dir,
     )
-    decomposition = deserialize_decomposition(outcome.record)
+    decomposition = outcome.decomposition
+    if decomposition is None:
+        decomposition = deserialize_decomposition(outcome.record)
     result: dict = {
         "kind": spec.kind,
         "circuit": spec.circuit,

@@ -43,8 +43,10 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import stat
 import threading
 import time
 import urllib.parse
@@ -87,6 +89,43 @@ MAX_WAIT_SECONDS = 600.0
 
 #: Completed jobs kept in the table (oldest evicted first).
 JOB_TABLE_LIMIT = 50_000
+
+
+def _release_inherited_sockets() -> None:
+    """Drop this process's copies of the sockets it inherited by fork.
+
+    The fork pool starts its workers while client connections are open, so
+    each worker holds a duplicate of those sockets (and of the listener).
+    While any duplicate lives, the server's close of a connection sends no
+    FIN and the client never sees end-of-file.  Workers never touch a
+    socket (the executor talks over pipes), so every socket descriptor is
+    pointed at ``/dev/null`` instead.  Reusing the descriptor number rather
+    than closing it keeps a stale socket object in the worker from ever
+    closing an unrelated file that later took the same number.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        try:
+            descriptors = [int(name) for name in os.listdir("/dev/fd")]
+        except OSError:  # pragma: no cover - no descriptor listing on this OS
+            return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            try:
+                if fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                pass  # the listing's own descriptor, already closed
+    finally:
+        os.close(null)
+
+
+def _init_service_worker() -> None:
+    """Initializer of the service's fork-pool workers."""
+    mark_pool_worker()
+    _release_inherited_sockets()
 
 
 @dataclass
@@ -198,7 +237,7 @@ class DecompositionService:
             return concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 mp_context=pool_context(),
-                initializer=mark_pool_worker,
+                initializer=_init_service_worker,
             )
         # One worker thread keeps execution strictly sequential and
         # fork-free; numpy releases the GIL, so the loop stays live.

@@ -11,6 +11,7 @@ an assertion, not a probability.  One test exercises the fork-pool path
 from __future__ import annotations
 
 import json
+import shutil
 import time
 import urllib.error
 import urllib.request
@@ -18,9 +19,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import CacheTelemetry, DecompositionCache, run_job
-from repro.benchcircuits import majority_spec
-from repro.service import ServiceThread, SpecError, parse_job_spec
+from repro.engine import (
+    CacheTelemetry,
+    DecompositionCache,
+    deserialize_decomposition,
+    run_job,
+    serialize_decomposition,
+)
+from repro.benchcircuits import comparator_spec, majority_spec
+from repro.core import progressive_decomposition
+from repro.service import ServiceThread, SpecError, jobs, parse_job_spec
 from repro.service.jobs import MAX_WIDTH
 
 
@@ -311,3 +319,68 @@ class TestEngineJobApi:
         assert telemetry.stores == 1
         snap = telemetry.snapshot()
         assert snap["hit_rate"] == 0.5 and snap["stores"] == 1
+
+
+# ----------------------------------------------------------------------
+# Cold miss vs warm hit: the live decomposition stands in for the record
+# ----------------------------------------------------------------------
+def _without_timings(result: dict) -> dict:
+    return {
+        key: value for key, value in result.items()
+        if key not in ("seconds", "engine_seconds") and not key.endswith("_cached")
+    }
+
+
+JOB_VARIANTS = [
+    {"kind": "decompose"},
+    {"kind": "decompose", "verify": True},
+    {"kind": "synthesize", "objective": "delay"},
+    {"kind": "synthesize", "objective": "area"},
+    {"kind": "synthesize", "objective": "balanced", "verify": True},
+]
+
+
+class TestColdWarmParity:
+    @pytest.mark.parametrize("circuit, width", [("comparator", 8), ("counter", 8)])
+    @pytest.mark.parametrize("variant", JOB_VARIANTS,
+                             ids=lambda v: "-".join(str(x) for x in v.values()))
+    def test_miss_and_hit_return_the_same_result(self, tmp_path, monkeypatch,
+                                                 circuit, width, variant):
+        loads = []
+
+        def counting_deserialize(record):
+            loads.append(record)
+            return deserialize_decomposition(record)
+
+        monkeypatch.setattr(jobs, "deserialize_decomposition", counting_deserialize)
+        payload = parse_job_spec({"circuit": circuit, "width": width, **variant}).payload()
+        store = tmp_path / "store"
+        cold = jobs.execute_job(payload, str(store))
+        assert cold["decomposition_cached"] is False
+        assert loads == []  # the miss uses the decomposition it computed
+        # Synthesise the hit from the loaded record, not the metric cache.
+        shutil.rmtree(store / "synth", ignore_errors=True)
+        warm = jobs.execute_job(payload, str(store))
+        assert warm["decomposition_cached"] is True
+        assert len(loads) == 1
+        assert _without_timings(warm) == _without_timings(cold)
+
+    def test_outcome_carries_the_live_decomposition_on_a_miss_only(self, tmp_path):
+        cold = run_job(majority_spec, (5,), cache_dir=str(tmp_path))
+        warm = run_job(majority_spec, (5,), cache_dir=str(tmp_path))
+        assert cold.decomposition is not None
+        assert serialize_decomposition(cold.decomposition) == cold.record
+        assert warm.decomposition is None
+
+    def test_matrix_only_record_equals_materialised_record(self):
+        spec = comparator_spec(8)
+        live = progressive_decomposition(spec.outputs, input_words=spec.input_words)
+        exprs = [*live.original.values(), *live.outputs.values(),
+                 *(block.definition for block in live.blocks)]
+        assert any(expr._terms is None for expr in exprs)  # matrix-only rows
+        from_rows = serialize_decomposition(live)
+        for expr in exprs:
+            expr.terms  # materialise every frozenset
+        assert serialize_decomposition(live) == from_rows
+        from_sets = serialize_decomposition(deserialize_decomposition(from_rows))
+        assert json.dumps(from_sets) == json.dumps(from_rows)

@@ -285,3 +285,61 @@ class TestQuarantineSweep:
             assert metrics["reliability"]["quarantine_size"] == 0
             # The cumulative counter is history, not a gauge: it stays.
             assert metrics["reliability"]["quarantined_jobs"] == 1
+
+
+# ----------------------------------------------------------------------
+# Fork-pool workers must not hold client connections open
+# ----------------------------------------------------------------------
+def post_until_eof(port: int, spec: dict, eof_timeout: float = 10.0) -> dict:
+    """POST ``spec`` with ``Connection: close`` and read to end-of-file.
+
+    The job may take as long as it needs; once the whole response is in,
+    the server's close must reach the client within ``eof_timeout``.
+    """
+    body = json.dumps(spec).encode("utf-8")
+    request = (
+        b"POST /jobs?wait=1&timeout=120 HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Type: application/json\r\nConnection: close\r\n"
+        + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1") + body
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=120) as sock:
+        sock.sendall(request)
+        response = b""
+        while b"\r\n\r\n" not in response:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before the response headers"
+            response += chunk
+        head, _, payload = response.partition(b"\r\n\r\n")
+        length = int(head.split(b"Content-Length:")[1].split(b"\r\n")[0])
+        while len(payload) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before the response body"
+            payload += chunk
+        sock.settimeout(eof_timeout)
+        try:
+            trailing = sock.recv(65536)
+        except socket.timeout:
+            pytest.fail(f"response complete but no end-of-file within {eof_timeout} s")
+        assert trailing == b""
+    return json.loads(payload)
+
+
+class TestConnectionClose:
+    def test_first_fork_pool_response_reaches_eof(self, tmp_path):
+        # The pool forks its workers at the first submit, while that
+        # client's connection is open.
+        with ServiceThread(cache_dir=str(tmp_path / "store"), workers=2) as handle:
+            for width in (5, 7):
+                body = post_until_eof(handle.port, {"circuit": "majority", "width": width})
+                assert body["state"] == "done"
+
+    def test_rebuilt_pool_response_reaches_eof(self, tmp_path, monkeypatch):
+        # The first job forks the pool on another connection.  The second
+        # kills its worker, and the replacement pool forks while the
+        # connection waiting for the retry is open.
+        arm_global(monkeypatch, tmp_path, "worker.job[majority-5]:kill@1")
+        with ServiceThread(workers=1, retry_base_delay=0.05) as handle:
+            post_spec(handle.base_url, {"circuit": "majority", "width": 3}, timeout=120.0)
+            body = post_until_eof(handle.port, {"circuit": "majority", "width": 5})
+            assert body["state"] == "done"
+            assert body["attempts"] == 2
