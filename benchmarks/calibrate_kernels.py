@@ -5,8 +5,9 @@ Sweeps ``REPRO_KERNEL_CHUNK_MIN_ROWS`` x ``REPRO_KERNEL_THREADS`` over the
 hot whole-slab primitives (the fused radix split, the plain split, the
 parity sweep and the two-pointer merge), measured on the real comparator
 term slab — the same 2^width-ish-row memory the basis pass chews — under
-both chunk-serial cores: the numpy kernels (what the ``threaded`` backend
-runs) and the compiled C kernels (what ``native`` runs, when built).
+both per-chunk floors of the ``native`` backend: the numpy kernels (what it
+falls back to without the extension) and the compiled C kernels (when
+built).
 
 Prints a per-grid-point table, derives the fastest configuration per core,
 and optionally writes the whole sweep as JSON::
@@ -87,9 +88,12 @@ def kernel_jobs(words) -> Dict[str, Callable[[], object]]:
 
 def run_grid(words, threads_list: List[int], chunks_list: List[int],
              repeats: int) -> List[Dict[str, object]]:
-    cores = [("numpy", sortkernel)]
-    if cnative.available():
-        cores.append(("cnative", cnative))
+    # Each chunk runs cnative's kernels, which fall back to numpy per call
+    # when no extension is loaded: unloading it selects the numpy floor.
+    built = cnative._C
+    cores = [("numpy", None)]
+    if built is not None:
+        cores.append(("cnative", built))
     else:
         print("note: C extension not built — sweeping the numpy core only")
     jobs = kernel_jobs(words)
@@ -98,7 +102,7 @@ def run_grid(words, threads_list: List[int], chunks_list: List[int],
     saved_chunk = nativekernel.CHUNK_MIN_ROWS
     try:
         for core_name, core in cores:
-            nativekernel.set_serial(core)
+            cnative._C = core
             for threads in threads_list:
                 os.environ[nativekernel.THREADS_ENV] = str(threads)
                 for chunk in chunks_list:
@@ -115,7 +119,7 @@ def run_grid(words, threads_list: List[int], chunks_list: List[int],
                             "seconds": round(best, 5),
                         })
     finally:
-        nativekernel.set_serial(None)
+        cnative._C = built
         nativekernel.CHUNK_MIN_ROWS = saved_chunk
         if saved_env is None:
             os.environ.pop(nativekernel.THREADS_ENV, None)
@@ -166,8 +170,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the sweep to this JSON file")
     args = parser.parse_args(argv)
 
-    if not sortkernel.available():
-        raise SystemExit("numpy unavailable — nothing to calibrate")
     cpu = os.cpu_count() or 1
     threads_list = args.threads or sorted({1, 2, 4, cpu})
     chunks_list = args.chunks or [1 << b for b in range(14, 19)]

@@ -5,8 +5,8 @@ Runs the Table-1-row benchmark circuits end to end (decompose -> structure ->
 synthesise), records per-circuit wall-clock and decomposition quality metrics,
 and writes a ``BENCH_*.json`` file that later runs can be compared against::
 
-    PYTHONPATH=src python benchmarks/run_bench.py --out benchmarks/BENCH_hotpaths.json
-    PYTHONPATH=src python benchmarks/run_bench.py --compare benchmarks/BENCH_baseline.json
+    PYTHONPATH=src python benchmarks/run_bench.py --out bench-local.json
+    PYTHONPATH=src python benchmarks/run_bench.py --compare benchmarks/BENCH_native.json
 
 Two width settings are provided (see ``benchmarks/README.md``):
 

@@ -1,22 +1,13 @@
-"""The ``native`` term-backend kernels: C primitives behind the seam.
+"""The ``native`` term-backend kernels: C primitives per chunk.
 
-This module is what ``REPRO_TERM_BACKEND=native`` installs at both ends of
-the kernel stack:
-
-* as :mod:`repro.anf.sortkernel`'s ``set_parallel`` module, so every public
-  whole-slab kernel dispatches here; and
-* as :mod:`repro.anf.nativekernel`'s chunk-serial core (``set_serial``), so
-  each chunk of a thread-partitioned slab runs the compiled primitives.
-
-The public seam functions below are therefore *aliases of nativekernel's
-chunked dispatchers* — chunking policy (``REPRO_KERNEL_THREADS``,
-``REPRO_KERNEL_CHUNK_MIN_ROWS``) is decided in exactly one place — and the
-``_*_serial`` functions are the per-chunk floors, signature-compatible with
-sortkernel's.  Each one calls into the compiled extension
-(:mod:`repro.anf._ckernel._impl`) when it is built and the input clears the
-same ``KERNEL_MIN_ROWS`` floor the numpy kernels use; everything else —
-missing extension, tiny slabs, masks wider than ``RADIX_MAX_GROUP_BITS``,
-numpy-less product fills — delegates to the sortkernel implementation, so
+:mod:`repro.anf.nativekernel` (the chunking layer the ``native`` backend
+installs behind :mod:`repro.anf.sortkernel`'s kernel seam) runs every chunk
+of a thread-partitioned slab through the ``_*_serial`` functions below,
+which are signature-compatible with sortkernel's.  Each one calls into the
+compiled extension (:mod:`repro.anf._ckernel._impl`) when it is built and
+the input clears the same ``KERNEL_MIN_ROWS`` floor the numpy kernels use;
+everything else — missing extension, tiny slabs, masks wider than
+``RADIX_MAX_GROUP_BITS`` — delegates to the sortkernel implementation, so
 the semantics are those of the packed backend bit for bit.  The C
 primitives release the GIL over their hot loops, which is what makes the
 thread chunking genuinely parallel instead of merely interleaved.
@@ -34,13 +25,10 @@ import warnings
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from . import nativekernel, sortkernel
-from .sortkernel import ROW_MASK, WORD_CODE, merge_disjoint
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by every kernel call
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+from . import sortkernel
+from .sortkernel import ROW_MASK, WORD_CODE, merge_disjoint
 
 try:  # pragma: no cover - both arms are covered by the fallback tests
     from ._ckernel import _impl as _C
@@ -178,11 +166,7 @@ def _parity_merge_serial(slabs: Sequence[array]) -> array:
 
 def _product_rows_serial(large: array, small_terms: Sequence[int]) -> array:
     terms = list(small_terms)
-    if (
-        _C is None
-        or _np is None  # the slab fill below is a numpy broadcast
-        or len(large) * len(terms) < sortkernel.KERNEL_MIN_ROWS
-    ):
+    if _C is None or len(large) * len(terms) < sortkernel.KERNEL_MIN_ROWS:
         return sortkernel._product_rows_serial(large, small_terms)
     rows = _np.frombuffer(large, dtype=_np.uint64)
     raw = _product_rec(rows, [term & ROW_MASK for term in terms])
@@ -228,19 +212,3 @@ def _popcount_rows_serial(words) -> int:
     ):
         return sortkernel._popcount_rows_serial(words)
     return _C.popcount_rows(words)
-
-
-# ----------------------------------------------------------------------
-# Seam functions: nativekernel's chunked dispatchers, verbatim.  The
-# backend installs this module as nativekernel's serial core first, so the
-# dispatchers run the ``_*_serial`` kernels above per chunk (or directly,
-# below the chunking floor / on one thread).
-# ----------------------------------------------------------------------
-split_runs_by_group = nativekernel.split_runs_by_group
-split_build_by_group = nativekernel.split_build_by_group
-scatter_tag = nativekernel.scatter_tag
-xor_merge = nativekernel.xor_merge
-parity_merge = nativekernel.parity_merge
-product_rows = nativekernel.product_rows
-shared_literal_count = nativekernel.shared_literal_count
-popcount_rows = nativekernel.popcount_rows

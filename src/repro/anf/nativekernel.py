@@ -1,12 +1,13 @@
-"""Chunked whole-slab kernel execution for the ``threaded`` backend.
+"""Chunked whole-slab kernel execution for the ``native`` backend.
 
-The serial kernels in :mod:`repro.anf.sortkernel` spend their time inside
-numpy ufuncs and sorts, all of which release the GIL while they run over a
-slab.  This module exploits that: each whole-slab primitive is partitioned
-into independent chunks, the chunks run on a shared ``ThreadPoolExecutor``
-sized by ``REPRO_KERNEL_THREADS`` (``auto`` = CPU count), and the partial
-results are recombined with *deterministic, ordered* merges so the final
-slab is bit-identical to the serial kernel at any thread count.
+Every whole-slab primitive spends its time in loops that release the GIL —
+the compiled C primitives of :mod:`repro.anf.cnative`, or the numpy ufuncs
+and sorts they fall back to per call.  This module exploits that: each
+primitive is partitioned into independent chunks, the chunks run on a
+shared ``ThreadPoolExecutor`` sized by ``REPRO_KERNEL_THREADS`` (``auto`` =
+CPU count), and the partial results are recombined with *deterministic,
+ordered* merges so the final slab is bit-identical to the serial kernel at
+any thread count.
 
 Determinism contract (what makes chunking invisible):
 
@@ -22,18 +23,11 @@ Determinism contract (what makes chunking invisible):
   parity is the parity of its total count however the multiset was split.
 
 Everything below a size floor (``2 * CHUNK_MIN_ROWS`` rows) or on a single
-configured thread delegates straight to the serial kernel: thread fan-out
-costs more than it saves on small slabs, and the quick sweep must not
-regress.  The module is installed/removed via
-:func:`repro.anf.sortkernel.set_parallel` by the backend's
-``activate``/``deactivate`` hooks; it always calls the ``_*_serial``
-internals directly, so a chunk can never re-enter the chunking layer.
-
-The per-chunk serial core is itself pluggable (:func:`set_serial`): it
-defaults to sortkernel's numpy kernels, and the ``native`` backend swaps in
-:mod:`repro.anf.cnative`, whose compiled primitives release the GIL over
-plain C loops — same chunking policy, same deterministic merges, faster
-floors.  Whatever the core, a chunk never re-enters the chunking layer.
+configured thread runs the per-chunk kernel once, unchunked: thread fan-out
+costs more than it saves on small slabs.  The module is installed/removed
+via :func:`repro.anf.sortkernel.set_parallel` by the ``native`` backend's
+``activate``/``deactivate`` hooks.  Chunks always call cnative's
+``_*_serial`` kernels, so a chunk never re-enters the chunking layer.
 """
 
 from __future__ import annotations
@@ -44,37 +38,53 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from . import sortkernel
+import numpy as _np
+
+from . import cnative
 from .sortkernel import WORD_CODE, merge_disjoint
 
-try:  # pragma: no cover - same dependency story as sortkernel
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 THREADS_ENV = "REPRO_KERNEL_THREADS"
+
+
+def _env_int(name: str, default: int, minimum: int = 0) -> int:
+    """An integer tunable from the environment.
+
+    Malformed values keep the default and values below ``minimum`` are
+    clamped — in both cases with a :class:`RuntimeWarning` naming the
+    variable, so a typo'd tunable is visible instead of silently running
+    the wrong configuration (and never an import-time crash).
+    """
+    value = os.environ.get(name, "").strip()
+    if not value:
+        return default
+    try:
+        parsed = int(value)
+    except ValueError:
+        warnings.warn(
+            f"ignoring malformed ${name}={value!r} (expected an integer); "
+            f"using the default {default}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return default
+    if parsed < minimum:
+        warnings.warn(
+            f"${name}={parsed} is below the minimum {minimum}; clamping",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return minimum
+    return parsed
+
 
 #: Minimum rows per chunk; inputs under ``2 *`` this run serially.  Chosen so
 #: the per-chunk executor overhead (~tens of µs) stays well under the numpy
 #: work it parallelises.  Tunable via ``REPRO_KERNEL_CHUNK_MIN_ROWS``; tests
 #: monkeypatch it down to force chunk boundaries on small inputs.
-CHUNK_MIN_ROWS = sortkernel._env_int("REPRO_KERNEL_CHUNK_MIN_ROWS", 1 << 16)
+CHUNK_MIN_ROWS = _env_int("REPRO_KERNEL_CHUNK_MIN_ROWS", 1 << 16)
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: The module supplying the per-chunk ``_*_serial`` kernels.  Defaults to
-#: the numpy implementations in :mod:`repro.anf.sortkernel`; the ``native``
-#: backend installs :mod:`repro.anf.cnative` here so every chunk runs the
-#: compiled primitives.  Swapping the core never changes results — both
-#: cores are bit-identical, which the parity suites assert.
-_serial = sortkernel
-
-
-def set_serial(module) -> None:
-    """Install (or reset, with ``None``) the per-chunk serial kernel core."""
-    global _serial
-    _serial = sortkernel if module is None else module
 
 
 def thread_count() -> int:
@@ -125,11 +135,7 @@ def _map(func: Callable[[_T], _R], jobs: Sequence[_T]) -> List[_R]:
 
 
 def _chunkable(total_rows: int) -> bool:
-    return (
-        _np is not None
-        and total_rows >= 2 * CHUNK_MIN_ROWS
-        and thread_count() >= 2
-    )
+    return total_rows >= 2 * CHUNK_MIN_ROWS and thread_count() >= 2
 
 
 def _chunk_bounds(total: int) -> List[int]:
@@ -178,9 +184,9 @@ def split_runs_by_group(
     words: array, group_mask: int
 ) -> Tuple[List[Tuple[int, array]], array]:
     if not _chunkable(len(words)):
-        return _serial._split_runs_serial(words, group_mask)
+        return cnative._split_runs_serial(words, group_mask)
     results = _map(
-        lambda chunk: _serial._split_runs_serial(chunk, group_mask),
+        lambda chunk: cnative._split_runs_serial(chunk, group_mask),
         _row_chunks(words),
     )
     return _merge_chunked_splits(results)
@@ -191,7 +197,7 @@ def split_build_by_group(
 ) -> Tuple[List[Tuple[int, array]], array]:
     total = sum(len(words) for _, words in tagged_slabs)
     if not _chunkable(total):
-        return _serial._split_build_serial(tagged_slabs, group_mask)
+        return cnative._split_build_serial(tagged_slabs, group_mask)
     # Flatten every slab into row-range jobs, keeping (slab, row) order so
     # the per-bucket pieces recombine in the same order the serial fused
     # kernel emits them (tags ascend across slabs, rows ascend within one).
@@ -204,7 +210,7 @@ def split_build_by_group(
         else:
             jobs.extend((chunk, tag) for chunk in _row_chunks(words))
     results = _map(
-        lambda job: _serial._split_runs_serial(
+        lambda job: cnative._split_runs_serial(
             job[0], group_mask, or_mask=job[1]
         ),
         jobs,
@@ -214,9 +220,9 @@ def split_build_by_group(
 
 def scatter_tag(words: array, bit: int) -> array:
     if not _chunkable(len(words)):
-        return _serial._scatter_tag_serial(words, bit)
+        return cnative._scatter_tag_serial(words, bit)
     pieces = _map(
-        lambda chunk: _serial._scatter_tag_serial(chunk, bit),
+        lambda chunk: cnative._scatter_tag_serial(chunk, bit),
         _row_chunks(words),
     )
     # Selected rows all shared ``bit``; stripping a shared bit preserves the
@@ -236,7 +242,7 @@ def xor_merge(left: array, right: array) -> array:
     if not len(right):
         return left
     if not _chunkable(len(left) + len(right)):
-        return _serial._xor_merge_serial(left, right)
+        return cnative._xor_merge_serial(left, right)
     # Partition by *value*: pick pivot rows from the larger operand, cut both
     # operands at the same pivots (same searchsorted side), and symmetric-
     # difference each value range independently.  Equal rows land in the same
@@ -257,7 +263,7 @@ def xor_merge(left: array, right: array) -> array:
         )
     ]
     pieces = _map(
-        lambda job: _serial._xor_merge_serial(job[0], job[1]), jobs
+        lambda job: cnative._xor_merge_serial(job[0], job[1]), jobs
     )
     out = array(WORD_CODE)
     for piece in pieces:
@@ -269,7 +275,7 @@ def parity_merge(slabs: Sequence[array]) -> array:
     alive = [s for s in slabs if len(s)]
     total = sum(len(s) for s in alive)
     if len(alive) < 2 or not _chunkable(total):
-        return _serial._parity_merge_serial(slabs)
+        return cnative._parity_merge_serial(slabs)
     # Greedy contiguous grouping of the slab list into roughly row-balanced
     # jobs; each job reduces mod 2 independently and the partials reduce
     # mod 2 once more (parity of the total count = parity of group parities).
@@ -286,23 +292,23 @@ def parity_merge(slabs: Sequence[array]) -> array:
     if current:
         groups.append(current)
     if len(groups) < 2:
-        return _serial._parity_merge_serial(alive)
-    partials = _map(_serial._parity_merge_serial, groups)
-    return _serial._parity_merge_serial(partials)
+        return cnative._parity_merge_serial(alive)
+    partials = _map(cnative._parity_merge_serial, groups)
+    return cnative._parity_merge_serial(partials)
 
 
 def product_rows(large: array, small_terms: Sequence[int]) -> array:
     total = len(large) * len(small_terms)
     if len(large) < 2 * CHUNK_MIN_ROWS or not _chunkable(total):
-        return _serial._product_rows_serial(large, small_terms)
+        return cnative._product_rows_serial(large, small_terms)
     terms = list(small_terms)
     partials = _map(
-        lambda chunk: _serial._product_rows_serial(chunk, terms),
+        lambda chunk: cnative._product_rows_serial(chunk, terms),
         _row_chunks(large),
     )
     # A product row can repeat across chunks (row1|term1 == row2|term2), so
     # the chunk parities reduce mod 2 once more.
-    return _serial._parity_merge_serial(partials)
+    return cnative._parity_merge_serial(partials)
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +317,9 @@ def product_rows(large: array, small_terms: Sequence[int]) -> array:
 def shared_literal_count(left: array, right: array) -> int:
     small, large = (left, right) if len(left) <= len(right) else (right, left)
     if not _chunkable(len(small)):
-        return _serial._shared_literal_count_serial(left, right)
+        return cnative._shared_literal_count_serial(left, right)
     partials = _map(
-        lambda chunk: _serial._shared_literal_count_serial(chunk, large),
+        lambda chunk: cnative._shared_literal_count_serial(chunk, large),
         _row_chunks(small),
     )
     return sum(partials)
@@ -321,7 +327,7 @@ def shared_literal_count(left: array, right: array) -> int:
 
 def popcount_rows(words: array) -> int:
     if not isinstance(words, array) or not _chunkable(len(words)):
-        return _serial._popcount_rows_serial(words)
+        return cnative._popcount_rows_serial(words)
     # Per-chunk popcounts sum: addition is associative, so any partition
     # gives the serial total.
-    return sum(_map(_serial._popcount_rows_serial, _row_chunks(words)))
+    return sum(_map(cnative._popcount_rows_serial, _row_chunks(words)))

@@ -44,62 +44,23 @@ every remaining O(terms) scan as a handful of vectorised passes:
 All kernels are exact and representation-transparent: they compute the same
 canonical term sets as the per-term reference loops, which the property
 tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.  The
-heavy lifting needs :mod:`numpy` (already a dependency via
-:mod:`repro.anf.truthtable`); when numpy is unavailable every entry point
-falls back to a pure-Python implementation, and tiny inputs skip numpy
-anyway — below :data:`KERNEL_MIN_ROWS` rows the fixed cost of array
-round-trips exceeds the per-term loop it replaces.
+heavy lifting runs in :mod:`numpy`; tiny inputs skip it — below
+:data:`KERNEL_MIN_ROWS` rows the fixed cost of array round-trips exceeds the
+per-term Python loop it replaces.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every kernel call
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
-
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    """An integer tunable from the environment.
-
-    Malformed values keep the default and values below ``minimum`` are
-    clamped — in both cases with a :class:`RuntimeWarning` naming the
-    variable, so a typo'd tunable is visible instead of silently running
-    the wrong configuration (and never an import-time crash).
-    """
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed ${name}={value!r} (expected an integer); "
-            f"using the default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if parsed < minimum:
-        warnings.warn(
-            f"${name}={parsed} is below the minimum {minimum}; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return minimum
-    return parsed
+import numpy as _np
 
 
 #: Row count below which the per-term Python paths win (array round-trip
-#: costs dominate); measured on the quick-width sweep.  Tunable via
-#: ``REPRO_KERNEL_MIN_ROWS`` (0 forces the vector kernels everywhere — the
-#: parity suite's forced-numpy mode).
-KERNEL_MIN_ROWS = _env_int("REPRO_KERNEL_MIN_ROWS", 1024)
+#: costs dominate); measured on the quick-width sweep.  The parity suites
+#: monkeypatch it to 0 to force the vector kernels everywhere.
+KERNEL_MIN_ROWS = 1024
 
 #: Rows are 64-bit; masks are clipped to the row width before vectorising
 #: (a variable with index >= 64 cannot occur in any packable term, so
@@ -111,8 +72,8 @@ WORD_CODE = "Q"
 #: Group masks with at most this many set bits take the counting/radix
 #: bucketing path of :func:`split_runs_by_group` (≤ 64 buckets).  Wider
 #: masks — only the full-group stall fallback produces them — keep the
-#: stable composite-key argsort.  Tunable via ``REPRO_RADIX_MAX_GROUP_BITS``.
-RADIX_MAX_GROUP_BITS = _env_int("REPRO_RADIX_MAX_GROUP_BITS", 6, minimum=1)
+#: stable composite-key argsort.
+RADIX_MAX_GROUP_BITS = 6
 
 #: With at least this many occupied buckets (including the remainder) the
 #: radix split switches from one masked selection per bucket to a single
@@ -122,7 +83,7 @@ RADIX_MAX_GROUP_BITS = _env_int("REPRO_RADIX_MAX_GROUP_BITS", 6, minimum=1)
 #: on the comparator's 16-bucket 14.3 M-row split).
 RADIX_ARGSORT_MIN_BUCKETS = 4
 
-#: When the ``threaded`` backend is active this holds the chunking module
+#: When the ``native`` backend is active this holds the chunking module
 #: (:mod:`repro.anf.nativekernel`); the public kernels below dispatch to it
 #: so *every* caller — backends and module-level users such as
 #: ``xor_accumulate`` alike — runs chunked.  ``None`` keeps the serial path.
@@ -133,11 +94,6 @@ def set_parallel(module) -> None:
     """Install (or clear, with ``None``) the chunked-execution module."""
     global _parallel
     _parallel = module
-
-
-def available() -> bool:
-    """True when the numpy-backed kernels are usable."""
-    return _np is not None
 
 
 def _as_u64(words: array):
@@ -244,7 +200,7 @@ def _split_runs_serial(
     support and from ``group_mask``, so ORing it preserves the ascending
     order of every bucket and of the remainder.
     """
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return _split_runs_python(words, group_mask, or_mask)
     mask = group_mask & ROW_MASK
     bit_positions = _mask_bit_positions(mask)
@@ -387,7 +343,7 @@ def _split_runs_radix(
 def _split_runs_python(
     words: Sequence[int], group_mask: int, or_mask: int = 0
 ) -> Tuple[List[Tuple[int, array]], array]:
-    """Per-term reference split (also the numpy-less fallback)."""
+    """Per-term reference split (also the small-input path)."""
     buckets: Dict[int, List[int]] = {}
     remainder: List[int] = []
     remainder_append = remainder.append
@@ -445,7 +401,7 @@ def scatter_tag(words: array, bit: int) -> array:
 def _scatter_tag_serial(words: array, bit: int) -> array:
     if bit > ROW_MASK:
         return array(WORD_CODE)
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return array(WORD_CODE, [t & ~bit for t in words if t & bit])
     rows = _as_u64(words)
     b = _np.uint64(bit)
@@ -465,7 +421,7 @@ def sort_terms(terms: Iterable[int], count: Optional[int] = None) -> Optional[ar
     if count is None:
         terms = list(terms)
         count = len(terms)
-    if _np is None or count < KERNEL_MIN_ROWS:
+    if count < KERNEL_MIN_ROWS:
         rows = sorted(terms)
         if rows and rows[-1] > ROW_MASK:
             return None
@@ -499,7 +455,7 @@ def merge_disjoint(slabs: Sequence[array]) -> array:
         alive[i][-1] < alive[i + 1][0] for i in range(len(alive) - 1)
     )
     total = sum(len(s) for s in alive)
-    if ordered or _np is None or total < KERNEL_MIN_ROWS:
+    if ordered or total < KERNEL_MIN_ROWS:
         merged = array(WORD_CODE)
         for s in alive:
             merged.extend(s)
@@ -530,7 +486,7 @@ def _xor_merge_serial(left: array, right: array) -> array:
         return right
     if not len(right):
         return left
-    if _np is None or len(left) + len(right) < KERNEL_MIN_ROWS:
+    if len(left) + len(right) < KERNEL_MIN_ROWS:
         return _xor_merge_python(left, right)
     merged = _np.concatenate([_as_u64(left), _as_u64(right)])
     merged.sort(kind="stable")
@@ -579,7 +535,7 @@ def _parity_merge_serial(slabs: Sequence[array]) -> array:
     if not alive:
         return array(WORD_CODE)
     total = sum(len(s) for s in alive)
-    if _np is None or total < KERNEL_MIN_ROWS:
+    if total < KERNEL_MIN_ROWS:
         counts: Dict[int, int] = {}
         for s in alive:
             for row in s:
@@ -621,7 +577,7 @@ def product_rows(large: array, small_terms: Sequence[int]) -> array:
 
 
 def _product_rows_serial(large: array, small_terms: Sequence[int]) -> array:
-    if _np is None or len(large) * len(small_terms) < KERNEL_MIN_ROWS:
+    if len(large) * len(small_terms) < KERNEL_MIN_ROWS:
         counts: Dict[int, int] = {}
         for term in small_terms:
             for row in large:
@@ -663,7 +619,7 @@ def or_into_all(words: array, mask: int) -> array:
     transient numpy allocation, which is what the giant tag multiplies of
     ``combine_with_tags`` pay for first-touch page faults otherwise.
     """
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return array(WORD_CODE, [t | mask for t in words])
     out = array(WORD_CODE, words)
     view = _np.frombuffer(out, dtype=_np.uint64)
@@ -673,7 +629,7 @@ def or_into_all(words: array, mask: int) -> array:
 
 def support_fold(words: array) -> int:
     """OR of every row in one vector pass."""
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         mask = 0
         for term in words:
             mask |= term
@@ -691,8 +647,7 @@ def shared_literal_count(left: array, right: array) -> int:
 
 def _shared_literal_count_serial(left: array, right: array) -> int:
     if (
-        _np is None
-        or min(len(left), len(right)) == 0
+        min(len(left), len(right)) == 0
         or len(left) + len(right) < KERNEL_MIN_ROWS
     ):
         shared = frozenset(left) & frozenset(right)
@@ -723,7 +678,7 @@ def popcount_rows(words: array) -> int:
 
 
 def _popcount_rows_serial(words) -> int:
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         if isinstance(words, array):
             return int.from_bytes(words.tobytes(), "little").bit_count()
         return sum(int(row).bit_count() for row in words)
@@ -736,14 +691,14 @@ def _popcount_rows_serial(words) -> int:
 def clear_bits_all(words: array, mask: int) -> array:
     """``row & ~mask`` for every row; ascending whenever every row contains
     all of ``mask`` (the caller's precondition — tag stripping)."""
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return array(WORD_CODE, [t & ~mask for t in words])
     return _to_words(_as_u64(words) & _np.uint64(~mask & ROW_MASK))
 
 
 def rows_contain_all(words: array, mask: int) -> bool:
     """True when every row contains every bit of ``mask`` (one vector pass)."""
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return all(t & mask == mask for t in words)
     m = _np.uint64(mask & ROW_MASK)
     rows = _as_u64(words)

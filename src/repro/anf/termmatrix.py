@@ -132,7 +132,7 @@ class TermMatrix:
         """OR of every row (one vector fold; big-integer halving fallback)."""
         mask = self._support
         if mask is None:
-            if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+            if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
                 mask = sortkernel.support_fold(self.words)
             else:
                 value = self.packed()
@@ -163,7 +163,7 @@ class TermMatrix:
             raise ValueError("or_all requires a mask disjoint from the support")
         if mask >= TERM_LIMIT or mask < 0:
             raise ValueError("mask does not fit a 64-bit row")
-        if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+        if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
             result = TermMatrix(sortkernel.or_into_all(self.words, mask))
         else:
             merged = self.packed() | replicate(mask, len(self.words))
@@ -182,7 +182,7 @@ class TermMatrix:
         """
         if not self.words:
             return self
-        if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+        if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
             return TermMatrix(sortkernel.clear_bits_all(self.words, mask))
         cleared = self.packed() & ~replicate(mask, len(self.words))
         return TermMatrix(_array_from_packed(cleared, len(self.words)))
@@ -209,7 +209,7 @@ class TermMatrix:
             return True
         if mask >= TERM_LIMIT or mask < 0:
             return False
-        if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+        if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
             return sortkernel.rows_contain_all(self.words, mask)
         selected = self.packed() & replicate(mask, len(self.words))
         return selected.bit_count() == mask.bit_count() * len(self.words)

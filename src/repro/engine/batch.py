@@ -17,6 +17,12 @@ front door:
 * :func:`map_parallel` — a generic fan-out helper for non-decomposition work
   (used by the online scanner's width sweeps).
 
+Parallelism has one policy: processes across jobs (this orchestrator and the
+service's worker pool, which share :func:`pool_context` and
+:func:`mark_pool_worker`), threads inside kernels (the ``native`` term
+backend's chunking).  A decomposition itself always runs the serial Fig. 5
+loop, and a job already running in a pool worker never forks a second level.
+
 Jobs carry a *spec builder* (an importable callable plus arguments) rather
 than built expressions: ``Anf``/``Context`` objects are cheap to rebuild and
 expensive to ship between processes.  Results come back as the cache's JSON
@@ -28,7 +34,9 @@ parent, so a batch result is indistinguishable from an in-process run
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
+import signal
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -36,19 +44,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-# Intra-decomposition pass sharding (REPRO_SHARD_PASSES) lives in
-# ``repro.parallel`` — a layer below ``repro.core`` so the core procedures
-# can use it without a core -> engine cycle; re-exported here because the
-# orchestrator is the engine's parallelism front door.
-from ..parallel import (  # noqa: F401  (re-exports)
-    SHARD_ENV,
-    in_pool_worker,
-    mark_pool_worker,
-    pool_context,
-    shard_chunks,
-    shard_map,
-    shard_workers,
-)
 from ..anf.canonical import canonical_spec_digest
 from ..anf.expression import Anf
 from ..core.decompose import Decomposition, DecompositionOptions
@@ -62,6 +57,51 @@ from .cache import (
 )
 from .cost import estimate_batch_job
 from .pipeline import Pipeline
+
+
+# ----------------------------------------------------------------------
+# Pool-worker plumbing (shared with the service's worker pool)
+# ----------------------------------------------------------------------
+#: True inside any worker process this package forked (set by the pool
+#: initializer).  ``multiprocessing.Pool`` workers are daemonic and already
+#: self-identify; ``concurrent.futures`` process workers are not, so the
+#: flag keeps pools from nesting across both pool flavours.
+_pool_worker = False
+
+
+def mark_pool_worker() -> None:
+    """Pool initializer: flag this process as a fork-pool worker.
+
+    Also detaches inherited signal plumbing: a forked worker shares the
+    parent's signal wakeup fd (asyncio's self-pipe) and Python-level
+    handlers, so a SIGTERM delivered to the *worker* (e.g. by
+    ``ProcessPoolExecutor`` tearing down a broken pool) would be echoed
+    into the parent's event loop as if the parent itself were signalled —
+    triggering a spurious graceful shutdown.  The worker must own its own
+    signal fate.
+    """
+    global _pool_worker
+    _pool_worker = True
+    try:
+        signal.set_wakeup_fd(-1)
+    except (ValueError, OSError):  # non-main thread or closed fd: nothing shared
+        pass
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(signum, signal.SIG_DFL)
+        except (ValueError, OSError):  # pragma: no cover - non-main thread
+            pass
+
+
+def in_pool_worker() -> bool:
+    """True in a process forked by any of this package's worker pools."""
+    return _pool_worker or multiprocessing.current_process().daemon
+
+
+def pool_context():
+    """The fork context where available (fork is far cheaper than spawn)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,9 @@ class RewritePass(Pass):
     definitions back into the rewritten outputs must reproduce the
     pre-rewrite expressions exactly, else :class:`VerificationError` is
     raised.  The gate cannot change any result — it is excluded from
-    ``params()`` so cache keys are unaffected.
+    ``params()`` so cache keys are unaffected — but it does not account for
+    carried null-space identities and so raises falsely on some real
+    circuits (see :func:`~repro.core.verify.check_rewrite_invariant`).
     """
 
     name = "rewrite"

@@ -6,10 +6,11 @@ independently built (but identically declared) contexts and asserts the
 results are bit-identical — outputs, blocks, and the complete per-iteration
 trace — across every ``DecompositionOptions`` ablation.
 
-Every ablation runs under both term backends: the reference loop always runs
+Every ablation runs under every term backend: the reference loop always runs
 on the ``set`` backend (the seed representation), while the engine runs on
-the backend under test, so the packed term-matrix kernels are held to the
-same bit-identical standard as the pipeline itself.
+the backend under test, so the packed term-matrix kernels and the
+``native`` chunking layer are held to the same bit-identical standard as the
+pipeline itself.
 """
 
 import pytest
@@ -105,28 +106,47 @@ def _twin_adder(width):
     return specs
 
 
-BACKENDS = ("set", "packed", "threaded", "native")
+BACKENDS = ("set", "packed", "native")
+
+#: The ablation parity also runs ``native`` with its chunking layer forced
+#: through tiny inputs over the numpy floor (extension unloaded): the path
+#: the ``native`` backend takes when the C extension is not built.
+ABLATION_MODES = BACKENDS + ("native-chunked",)
+
+
+def _activate(mode, monkeypatch):
+    """The ``using_backend`` context for ``mode``, forcing chunking first for
+    ``native-chunked``."""
+    if mode != "native-chunked":
+        return using_backend(mode)
+    from repro.anf import cnative, nativekernel, sortkernel
+
+    monkeypatch.setattr(cnative, "_C", None)
+    monkeypatch.setenv(nativekernel.THREADS_ENV, "4")
+    monkeypatch.setattr(nativekernel, "CHUNK_MIN_ROWS", 4)
+    monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+    return using_backend("native")
 
 
 class TestAblationParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ABLATION_MODES)
     @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
-    def test_majority7_parity(self, options, backend):
+    def test_majority7_parity(self, monkeypatch, options, backend):
         (ref_outputs, ref_words), (new_outputs, new_words) = _twin_majority(7)
         with using_backend("set"):
             expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
-        with using_backend(backend):
+        with _activate(backend, monkeypatch):
             actual = progressive_decomposition(new_outputs, options, input_words=new_words)
         assert_bit_identical(expected, actual)
         assert actual.verify()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ABLATION_MODES)
     @pytest.mark.parametrize("options", ABLATIONS[:4], ids=lambda o: repr(o))
-    def test_multi_output_adder_parity(self, options, backend):
+    def test_multi_output_adder_parity(self, monkeypatch, options, backend):
         (ref_outputs, ref_words), (new_outputs, new_words) = _twin_adder(4)
         with using_backend("set"):
             expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
-        with using_backend(backend):
+        with _activate(backend, monkeypatch):
             actual = progressive_decomposition(new_outputs, options, input_words=new_words)
         assert_bit_identical(expected, actual)
 

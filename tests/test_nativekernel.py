@@ -1,23 +1,26 @@
-"""Property tests for the threaded chunked-kernel layer.
+"""Property tests for the ``native`` backend's chunked-kernel layer.
 
 Every chunked primitive in :mod:`repro.anf.nativekernel` must be
 bit-identical to its serial twin in :mod:`repro.anf.sortkernel` — at any
 thread count, with chunk boundaries forced through small inputs, and on the
 degenerate masks (empty, all-bits).  The backend-level tests check that
-activating the ``threaded`` backend installs the chunking module behind the
+activating the ``native`` backend installs the chunking module behind the
 module-level kernel seam (so *every* caller runs chunked), that terms too
-wide to pack still fall back to the set path, and that a full engine run is
-bit-identical to the ``packed`` backend.
+wide to pack still fall back to the set path, that a full engine run is
+bit-identical to the ``packed`` backend, and that the retired ``threaded``
+backend name is rejected.
 """
 
+import os
 from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.anf import Anf, Context
+from repro.anf import Context
 from repro.anf import cnative, nativekernel, sortkernel
-from repro.anf.backend import get_backend, using_backend
+from repro.anf import backend
+from repro.anf.backend import get_backend, set_backend, using_backend
 
 terms_strategy = st.lists(
     st.integers(min_value=0, max_value=(1 << 40) - 1), unique=True, max_size=120
@@ -32,15 +35,14 @@ def _slab(terms):
 @pytest.fixture(params=["numpy", "cnative"])
 def forced_chunks(request, monkeypatch):
     """Force chunk boundaries through even tiny inputs: 4 workers, 4-row
-    chunks, every kernel down the vectorised path — once with the numpy
-    serial core and once with the compiled C core, so every chunked
-    primitive is checked against both floors."""
-    if not sortkernel.available():
-        pytest.skip("numpy unavailable")
+    chunks, every kernel down the vectorised path — once on the numpy
+    floor (extension unloaded) and once on the compiled C core, so every
+    chunked primitive is checked against both floors."""
     if request.param == "cnative":
         if not cnative.available():
             pytest.skip("C extension not built")
-        monkeypatch.setattr(nativekernel, "_serial", cnative)
+    else:
+        monkeypatch.setattr(cnative, "_C", None)
     monkeypatch.setenv(nativekernel.THREADS_ENV, "4")
     monkeypatch.setattr(nativekernel, "CHUNK_MIN_ROWS", 4)
     monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -49,8 +51,6 @@ def forced_chunks(request, monkeypatch):
 
 class TestThreadCount:
     def test_auto_and_zero_mean_cpu_count(self, monkeypatch):
-        import os
-
         for value in ("", "auto", "0", "AUTO"):
             monkeypatch.setenv(nativekernel.THREADS_ENV, value)
             assert nativekernel.thread_count() == (os.cpu_count() or 1)
@@ -58,8 +58,6 @@ class TestThreadCount:
         assert nativekernel.thread_count() == (os.cpu_count() or 1)
 
     def test_explicit_and_malformed_values(self, monkeypatch):
-        import os
-
         monkeypatch.setenv(nativekernel.THREADS_ENV, "3")
         assert nativekernel.thread_count() == 3
         monkeypatch.setenv(nativekernel.THREADS_ENV, "-2")
@@ -72,15 +70,15 @@ class TestThreadCount:
     def test_env_int_warns_on_bad_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_TUNABLE", "not-a-number")
         with pytest.warns(RuntimeWarning, match="malformed"):
-            assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
+            assert nativekernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
         monkeypatch.setenv("REPRO_TEST_TUNABLE", "-5")
         with pytest.warns(RuntimeWarning, match="below the minimum"):
-            assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024, minimum=1) == 1
+            assert nativekernel._env_int("REPRO_TEST_TUNABLE", 1024, minimum=1) == 1
         # In-range and empty values stay silent.
         monkeypatch.setenv("REPRO_TEST_TUNABLE", "17")
-        assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 17
+        assert nativekernel._env_int("REPRO_TEST_TUNABLE", 1024) == 17
         monkeypatch.setenv("REPRO_TEST_TUNABLE", "")
-        assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
+        assert nativekernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
 
     def test_single_thread_stays_serial(self, monkeypatch):
         """One worker (or a sub-threshold input) must bypass the pool."""
@@ -176,8 +174,6 @@ class TestChunkedKernelParity:
 
     def test_one_vs_many_threads(self, monkeypatch):
         """The same call at 1, 2 and 8 workers returns the same bytes."""
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(nativekernel, "CHUNK_MIN_ROWS", 8)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab(range(1, 1000))
@@ -190,8 +186,6 @@ class TestChunkedKernelParity:
 
     def test_chunk_boundary_exactly_at_threshold(self, monkeypatch):
         """Inputs at exactly ``2 * CHUNK_MIN_ROWS`` take the chunked path."""
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setenv(nativekernel.THREADS_ENV, "4")
         monkeypatch.setattr(nativekernel, "CHUNK_MIN_ROWS", 16)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -205,40 +199,29 @@ class TestChunkedKernelParity:
         assert list(chunked[1]) == list(serial[1])
 
 
-class TestThreadedBackend:
+class TestNativeChunkedBackend:
     def test_activation_installs_the_kernel_hook(self):
-        previous = get_backend().name
-        with using_backend("threaded"):
-            assert sortkernel._parallel is nativekernel
-            assert nativekernel._serial is sortkernel
-            assert get_backend().name == "threaded"
-        expected = {"threaded": nativekernel, "native": cnative}.get(previous)
-        assert sortkernel._parallel is expected
-
-    def test_native_activation_installs_both_hooks(self):
-        previous = get_backend().name
-        with using_backend("native"):
-            assert sortkernel._parallel is cnative
-            assert nativekernel._serial is cnative
-            assert get_backend().name == "native"
-        if previous not in ("threaded", "native"):
+        # Step out to packed first so activating native is a real transition.
+        with using_backend("packed"):
             assert sortkernel._parallel is None
-            assert nativekernel._serial is sortkernel
+            with using_backend("native"):
+                assert sortkernel._parallel is nativekernel
+                assert get_backend().name == "native"
+            assert sortkernel._parallel is None
 
-    def test_wide_terms_fall_back_to_set_path(self):
-        ctx = Context([f"w{i}" for i in range(70)])
-        wide = Anf(ctx, [1 << 69, (1 << 68) | (1 << 2), 5])
-        with using_backend("threaded"):
-            buckets, remainder = get_backend().split_by_group(wide, 0b100)
-        assert sorted(buckets) == [0b100]
-        assert set(buckets[0b100].terms) == {1 << 68, 1}
-        assert set(remainder.terms) == {1 << 69}
+    def test_retired_threaded_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="native"):
+            set_backend("threaded")
+
+    def test_retired_threaded_backend_is_rejected_from_env(self, monkeypatch):
+        monkeypatch.setenv(backend.BACKEND_ENV, "threaded")
+        with pytest.raises(ValueError, match="native"):
+            backend._initial_backend()
 
     def test_engine_parity_with_forced_chunking(self, monkeypatch):
-        """A full decomposition under the threaded backend (chunking forced
-        through tiny inputs) is bit-identical to the packed backend."""
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
+        """A full decomposition under the native backend (chunking forced
+        through tiny inputs; numpy chunks when the extension is absent) is
+        bit-identical to the packed backend."""
         from repro.anf import majority, variables
         from repro.core import DecompositionOptions, progressive_decomposition
         from repro.anf.expression import xor_accumulate
@@ -246,7 +229,7 @@ class TestThreadedBackend:
         monkeypatch.setenv(nativekernel.THREADS_ENV, "4")
         monkeypatch.setattr(nativekernel, "CHUNK_MIN_ROWS", 4)
         results = {}
-        for backend in ("packed", "threaded", "native"):
+        for backend in ("packed", "native"):
             ctx = Context()
             bits = variables(ctx, [f"x{i}" for i in range(9)])
             outputs = {"maj": majority(bits, ctx), "parity": xor_accumulate(bits, ctx)}
@@ -261,4 +244,4 @@ class TestThreadedBackend:
                 {p: sorted(e.terms) for p, e in d.outputs.items()},
                 [record.group for record in d.iterations],
             )
-        assert results["packed"] == results["threaded"] == results["native"]
+        assert results["packed"] == results["native"]

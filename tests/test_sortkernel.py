@@ -10,8 +10,7 @@ inputs:
 
 The construction kernels (``sort_terms``/``merge_disjoint``/``xor_merge``/
 ``parity_merge``/``product_rows``) are checked against brute-force multiset
-semantics, the vectorised monomial vocabulary against the dict indexer, and
-the sharded ``find_group`` paths against their serial twins.
+semantics, and the vectorised monomial vocabulary against the dict indexer.
 """
 
 from array import array
@@ -33,26 +32,35 @@ terms_strategy = st.lists(
 mask_strategy = st.integers(min_value=0, max_value=(1 << 40) - 1)
 
 
-@pytest.fixture(params=["python", "numpy", "cnative"])
+@pytest.fixture(params=["python", "numpy", "chunked", "cnative"])
 def kernel_mode(request, monkeypatch):
     """Run each kernel property under the per-term fallback, the forced
-    numpy path, and the compiled C core (``KERNEL_MIN_ROWS = 0`` sends even
-    tiny inputs through the vector kernels; installing ``cnative`` behind
-    the parallel seam routes the public kernels through the C primitives)."""
+    numpy path, the ``native`` chunking layer over the numpy floor, and the
+    compiled C core (``KERNEL_MIN_ROWS = 0`` sends even tiny inputs through
+    the vector kernels, an unreachable floor keeps every input on the
+    per-term paths; installing the ``native`` chunking layer behind the
+    kernel seam routes the public kernels through it).  ``chunked`` unloads
+    the extension and forces chunk boundaries through tiny inputs, so the
+    ``native`` backend's fallback path is held to the same references."""
     if request.param == "numpy":
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+    elif request.param == "chunked":
+        from repro.anf import cnative, nativekernel
+
+        monkeypatch.setattr(cnative, "_C", None)
+        monkeypatch.setenv(nativekernel.THREADS_ENV, "4")
+        monkeypatch.setattr(nativekernel, "CHUNK_MIN_ROWS", 4)
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+        monkeypatch.setattr(sortkernel, "_parallel", nativekernel)
     elif request.param == "cnative":
         from repro.anf import cnative, nativekernel
 
         if not cnative.available():
             pytest.skip("C extension not built")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
-        monkeypatch.setattr(sortkernel, "_parallel", cnative)
-        monkeypatch.setattr(nativekernel, "_serial", cnative)
+        monkeypatch.setattr(sortkernel, "_parallel", nativekernel)
     else:
-        monkeypatch.setattr(sortkernel, "_np", None)
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 1 << 62)
     return request.param
 
 
@@ -105,8 +113,6 @@ class TestRadixSplit:
     @given(terms=terms_strategy, group_mask=narrow_mask)
     @settings(max_examples=60)
     def test_radix_matches_python_reference(self, terms, group_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         slab = _slab(terms)
         runs, remainder = sortkernel._split_runs_radix(
             slab, sortkernel._mask_bit_positions(group_mask)
@@ -124,8 +130,6 @@ class TestRadixSplit:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_radix_matches_argsort_path(self, monkeypatch, terms, group_mask):
         """Same inputs through the dispatcher's two vectorised paths."""
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab(terms)
         radix = sortkernel.split_runs_by_group(slab, group_mask)
@@ -141,8 +145,6 @@ class TestRadixSplit:
         ]
 
     def test_wide_masks_keep_the_argsort_path(self, monkeypatch):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         wide_mask = sum(1 << i for i in range(sortkernel.RADIX_MAX_GROUP_BITS + 2))
         terms = list(range(1, 600))
@@ -153,8 +155,6 @@ class TestRadixSplit:
                               for p, r in ref_runs}
 
     def test_all_rows_groupless_returns_input_slab(self, monkeypatch):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab([2, 4, 6])
         runs, remainder = sortkernel.split_runs_by_group(slab, 1)
@@ -233,8 +233,6 @@ class TestFusedBackendSeam:
            group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_tagged_matches_two_step(self, monkeypatch, outputs_terms, group_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         from repro.core.basis import combine_with_tags
 
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -278,8 +276,6 @@ class TestBackendParityThreeWays:
     @given(terms=terms_strategy, group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_by_group(self, monkeypatch, terms, group_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         ctx = Context([f"v{i}" for i in range(8)])
         expr = Anf(ctx, terms)
         set_buckets, set_rem = SetBackend().split_by_group(expr, group_mask)
@@ -295,8 +291,6 @@ class TestBackendParityThreeWays:
     @given(terms=terms_strategy, tags_mask=st.integers(min_value=0, max_value=(1 << 8) - 1))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_scatter_by_tags(self, monkeypatch, terms, tags_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         ctx = Context([f"v{i}" for i in range(8)])
         reference = SetBackend().scatter_by_tags(Anf(ctx, terms), tags_mask)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -406,8 +400,6 @@ class TestExpressionAccumulation:
                                                            unique=True, min_size=1, max_size=6))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matrix_product_matches_set_product(self, monkeypatch, large_terms, small_terms):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         ctx = Context([f"v{i}" for i in range(41)])
         reference = Anf(ctx, large_terms) & Anf(ctx, small_terms)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -450,73 +442,3 @@ class TestMonomialVocabulary:
         v_narrow = vocabulary.vector_of(narrow)
         # XOR must cancel the shared monomial 5 exactly.
         assert (v_wide ^ v_narrow).bit_count() == 1
-
-
-class TestShardedGrouping:
-    """REPRO_SHARD_PASSES must never change a result, only where it runs."""
-
-    @given(outputs_terms=st.lists(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
-                                           unique=True, max_size=20), min_size=1, max_size=3))
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_find_group_parity(self, monkeypatch, outputs_terms):
-        from repro.core.grouping import find_group
-
-        ctx = Context([f"v{i}" for i in range(10)])
-        outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
-        inputs = [f"v{i}" for i in range(10)]
-        monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-        serial = find_group(outputs, 4, ctx, [], [inputs])
-        monkeypatch.setenv("REPRO_SHARD_PASSES", "2")
-        sharded = find_group(outputs, 4, ctx, [], [inputs])
-        assert serial == sharded
-
-    @given(outputs_terms=st.lists(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
-                                           unique=True, max_size=20), min_size=1, max_size=3))
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_cooccurrence_parity(self, monkeypatch, outputs_terms):
-        from repro.core.grouping import _cooccurrence_group
-
-        ctx = Context([f"v{i}" for i in range(10)])
-        outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
-        candidates = [f"v{i}" for i in range(10)]
-        monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-        serial = _cooccurrence_group(outputs, candidates, ctx, 4)
-        monkeypatch.setenv("REPRO_SHARD_PASSES", "2")
-        sharded = _cooccurrence_group(outputs, candidates, ctx, 4)
-        assert serial == sharded
-
-    def test_sharding_disabled_inside_daemonic_workers(self, monkeypatch):
-        import multiprocessing
-
-        from repro.engine.batch import shard_workers
-
-        monkeypatch.setenv("REPRO_SHARD_PASSES", "1")
-        assert shard_workers() is not None
-        monkeypatch.setattr(
-            multiprocessing.current_process(), "_config", {"daemon": True}
-        )
-        assert shard_workers() is None
-
-    def test_sharded_decomposition_is_bit_identical(self, monkeypatch):
-        from repro.anf import majority, variables
-        from repro.core import DecompositionOptions, progressive_decomposition
-
-        results = {}
-        for mode in (None, "2"):
-            ctx = Context()
-            bits = variables(ctx, [f"x{i}" for i in range(9)])
-            outputs = {"maj": majority(bits, ctx), "parity": xor_accumulate(bits, ctx)}
-            if mode is None:
-                monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_SHARD_PASSES", mode)
-            d = progressive_decomposition(
-                outputs, DecompositionOptions(), input_words=[[f"x{i}" for i in range(9)]]
-            )
-            assert d.verify()
-            results[mode] = (
-                [(b.name, sorted(b.definition.terms)) for b in d.blocks],
-                {p: sorted(e.terms) for p, e in d.outputs.items()},
-                [record.group for record in d.iterations],
-            )
-        assert results[None] == results["2"]

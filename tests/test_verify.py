@@ -3,14 +3,15 @@
 ``Decomposition.verify()`` (the DAG engine) must return exactly the verdict
 of ``Decomposition.verify(method="flatten")`` (the whole-spec re-expansion
 kept as the reference) — on valid decompositions, on deliberately corrupted
-ones, under both term backends, and with pass sharding on or off.  The
-level-substitution kernel itself is checked against ``Anf.substitute`` on
-arbitrary inputs, and the per-iteration rewrite gate (``REPRO_VERIFY_STEPS``)
-must accept every engine-produced step and reject a sabotaged one.
+ones, and under every term backend.  The level-substitution kernel itself
+is checked against ``Anf.substitute`` on arbitrary inputs, and the
+per-iteration rewrite gate (``REPRO_VERIFY_STEPS``) must accept
+engine-produced steps and reject a sabotaged one (its known false alarm on
+counter-12 is pinned as an expected failure).
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.anf import Anf, Context
 from repro.anf.backend import using_backend
@@ -32,8 +33,7 @@ from repro.engine import (
     RewritePass,
 )
 
-BACKENDS = ("set", "packed")
-SHARD_MODES = (None, "2")
+BACKENDS = ("set", "packed", "native")
 
 
 def _decompose(outputs_terms, num_vars=6, options=None):
@@ -87,19 +87,11 @@ class TestSubstituteBits:
 
 class TestVerdictParity:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shard", SHARD_MODES, ids=["serial", "sharded"])
     @given(outputs_terms=terms_strategy)
-    @settings(
-        max_examples=25, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=25, deadline=None)
     def test_valid_decompositions_verify_on_both_engines(
-        self, monkeypatch, backend, shard, outputs_terms
+        self, backend, outputs_terms
     ):
-        if shard is None:
-            monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SHARD_PASSES", shard)
         with using_backend(backend):
             try:
                 decomposition = _decompose(outputs_terms)
@@ -258,6 +250,23 @@ class TestRewriteGate:
         )
         with pytest.raises(VerificationError):
             pipeline.run(outputs)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=VerificationError,
+        reason="the step gate compares exactly and ignores the product "
+        "identities carried into null-space merges, so counter-12 raises "
+        "although the full verify() passes",
+    )
+    def test_gate_accepts_counter12(self, monkeypatch):
+        from repro.benchcircuits import counter_spec
+
+        monkeypatch.setenv("REPRO_VERIFY_STEPS", "1")
+        spec = counter_spec(12)
+        decomposition = progressive_decomposition(
+            spec.outputs, DecompositionOptions(), input_words=spec.input_words
+        )
+        assert decomposition.verify()
 
     def test_check_rewrite_invariant_reports_port(self):
         ctx = Context(["a", "b"])
